@@ -24,9 +24,9 @@ test-fast:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# throughput sweep of the sharded live engine vs the serial baseline
+# throughput sweep of the sharded live engine across shard counts
 bench-engine:
-	$(GO) test -run xxx -bench 'EngineIngest|SerialPipelineIngest' -benchmem .
+	$(GO) test -run xxx -bench 'EngineIngest' -benchmem .
 
 cover:
 	$(GO) test -cover ./...

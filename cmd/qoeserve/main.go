@@ -80,16 +80,13 @@ import (
 	"syscall"
 	"time"
 
-	"vqoe/internal/core"
+	"vqoe/internal/cli"
 	"vqoe/internal/engine"
-	"vqoe/internal/flight"
 	"vqoe/internal/obs"
 	"vqoe/internal/pcapio"
 	"vqoe/internal/pipeline"
 	"vqoe/internal/qualitymon"
-	"vqoe/internal/slo"
 	"vqoe/internal/wire"
-	"vqoe/internal/workload"
 )
 
 func main() {
@@ -97,8 +94,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
 		stallPath   = flag.String("stall", "", "trained stall model")
 		repPath     = flag.String("rep", "", "trained representation model")
-		trainN      = flag.Int("train-n", 800, "synthetic training size when no models given")
-		seed        = flag.Int64("seed", 1, "training seed")
 		shards      = flag.Int("shards", 0, "engine shard count (0 = one per CPU)")
 		mailbox     = flag.Int("mailbox", 0, "per-shard mailbox depth (0 = default)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -108,16 +103,13 @@ func main() {
 		cohortMax   = flag.Int("cohort-max", 0, "max distinct cohorts tracked by the fleet rollup before LRU eviction into the overflow bucket (0 = default 64)")
 		psiMax      = flag.Float64("psi-threshold", 0, "PSI above which a feature (or the prediction prior) counts as drifted (0 = default 0.2)")
 		accDrop     = flag.Float64("accuracy-drop", 0, "online-accuracy drop (fraction) that flags degradation (0 = default 0.05)")
-		flightN     = flag.Int("flight-sample", 0, "flight recorder uniform sample: retain 1 in N sessions (0 = default 32, negative = outcome-driven policies only)")
 		flightBytes = flag.Int64("flight-max-bytes", 0, "flight recorder per-shard byte budget for retained timelines (0 = default 8MiB)")
-		noFlight    = flag.Bool("no-flight", false, "disable the session flight recorder entirely")
 		wireAddr    = flag.String("wire", "", "binary ingest listener TCP address (e.g. 127.0.0.1:9090)")
 		wireUnix    = flag.String("wire-unix", "", "binary ingest listener unix socket path")
 		pcapPath    = flag.String("pcap", "", "replay this capture through the flow meter into the engine at startup")
 		pcapHosts   = flag.String("pcap-hosts", "", "ip→host map for -pcap (default <pcap>.hosts)")
-		alertLog    = flag.String("alert-log", "", "append one JSON line per alert state transition to this file")
-		sloCadence  = flag.Float64("slo-cadence", 0, "SLO sampler period in seconds (0 = default 1)")
 	)
+	common := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	log, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -126,9 +118,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fw, err := buildFramework(*stallPath, *repPath, *trainN, *seed, func(msg string, args ...any) {
-		log.Info(msg, args...)
-	})
+	fw, err := common.BuildFramework(*stallPath, *repPath, log)
 	if err != nil {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)
@@ -140,19 +130,16 @@ func main() {
 	if *mailbox > 0 {
 		ecfg.Mailbox = *mailbox
 	}
-	var alertLogFile *os.File
-	if *alertLog != "" {
-		alertLogFile, err = os.OpenFile(*alertLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Error("alert log open failed", "path", *alertLog, "err", err)
-			os.Exit(1)
-		}
-		defer alertLogFile.Close()
+	scfg, alertLog, err := common.SLO()
+	if err != nil {
+		log.Error("alert log open failed", "path", common.AlertLog, "err", err)
+		os.Exit(1)
 	}
-	scfg := slo.Config{CadenceSec: *sloCadence}
-	if alertLogFile != nil {
-		scfg.AlertLog = alertLogFile
+	if alertLog != nil {
+		defer alertLog.Close()
 	}
+	fcfg := common.Flight()
+	fcfg.MaxBytes = *flightBytes
 	srv := pipeline.NewServerOpts(fw, pipeline.Options{
 		Engine:    ecfg,
 		Pprof:     *pprofOn,
@@ -160,12 +147,8 @@ func main() {
 		Logger:    log,
 		Quality:   qualitymon.Thresholds{PSI: *psiMax, AccuracyDrop: *accDrop},
 		CohortMax: *cohortMax,
-		Flight: flight.Config{
-			SampleN:  *flightN,
-			MaxBytes: *flightBytes,
-			Disabled: *noFlight,
-		},
-		SLO: scfg,
+		Flight:    fcfg,
+		SLO:       scfg,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
@@ -256,50 +239,6 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-}
-
-func buildFramework(stallPath, repPath string, trainN int, seed int64, logf func(string, ...any)) (*core.Framework, error) {
-	if stallPath != "" && repPath != "" {
-		stall, err := loadDetector(stallPath)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := loadDetector(repPath)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Framework{
-			Stall:  &core.StallDetector{Detector: *stall},
-			Rep:    &core.RepresentationDetector{Detector: *rep},
-			Switch: core.NewSwitchDetector(),
-		}, nil
-	}
-	logf("training on synthetic corpus", "sessions", trainN)
-	// train on the traffic the live engine serves — encrypted adaptive
-	// streams — so the quality monitor's baseline describes the live
-	// population rather than flagging a train/serve mismatch at once
-	stallCfg := workload.DefaultConfig(trainN)
-	stallCfg.AdaptiveFraction = 1
-	stallCfg.Encrypted = true
-	stallCfg.Seed = seed
-	hasCfg := workload.DefaultConfig(trainN / 2)
-	hasCfg.AdaptiveFraction = 1
-	hasCfg.Encrypted = true
-	hasCfg.Seed = seed + 1
-	tcfg := core.DefaultTrainConfig()
-	tcfg.CVFolds = 3
-	tcfg.Forest.Trees = 30
-	fw, _, err := core.TrainFramework(workload.Generate(stallCfg), workload.Generate(hasCfg), tcfg)
-	return fw, err
-}
-
-func loadDetector(path string) (*core.Detector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadDetector(f)
 }
 
 // replayCapture streams a pcap through the flow meter into the wire

@@ -1,19 +1,25 @@
 // Package engine is the sharded live-session engine: the deployment
 // form of the paper's detection framework for an operator vantage
-// point observing many subscribers at once (§8 envisions >10M). The
-// serial streaming analyzer in internal/pipeline replays one entry
-// stream behind a single lock; this engine shards the flow table by
-// subscriber hash across N worker goroutines so ingest, §5.2
-// sessionization, and forest inference all run concurrently with no
-// cross-shard locking on the hot path.
+// point observing many subscribers at once (§8 envisions >10M). It
+// shards the flow table by subscriber hash across N worker goroutines
+// so ingest, §5.2 sessionization, and forest inference all run
+// concurrently with no cross-shard locking on the hot path.
 //
-// Each shard owns its slice of the flow table (a sessionizer.Tracker),
-// a bounded mailbox with explicit backpressure or drop accounting, an
+// It is the only session-close path in the repository: qoeserve runs
+// it with one shard per CPU, while qoewatch and qoepcap -analyze run
+// one shard with auto-eviction off (SweepEverySec < 0) and feed it
+// one entry per Ingest, which returns reports in the order the stream
+// closes the sessions.
+//
+// Each shard owns its slice of the flow table (a
+// sessionizer.ColTracker keyed by interned subscriber IDs), a bounded
+// mailbox with explicit backpressure or drop accounting, an
 // idle-eviction clock driven by the shard's event-time high-water
 // mark, and a batched inference path (core.Framework.AnalyzeBatch)
-// over the sessions a mailbox batch closes together. Drain flushes
-// every shard for graceful shutdown; Snapshot exposes per-shard
-// gauges for the Prometheus exposition.
+// over the sessions a mailbox batch closes together; the quality
+// monitor, cohort rollup and flight recorder hooks are fed from that
+// same place. Drain flushes every shard for graceful shutdown;
+// Snapshot exposes per-shard gauges for the Prometheus exposition.
 package engine
 
 import (
@@ -82,7 +88,8 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// DefaultConfig mirrors the serial pipeline's session parameters.
+// DefaultConfig is one shard per CPU with the §5.2 session parameters
+// (30 s idle gap, 3-chunk minimum) and idle eviction on.
 func DefaultConfig() Config {
 	return Config{
 		Shards:        runtime.GOMAXPROCS(0),
@@ -201,17 +208,21 @@ func (e *Engine) ObserveLabel(l qualitymon.Label) bool {
 // sub-batches (see Engine.partition) and pre-accounts the slab's
 // refcount with the number of non-empty sub-batches, so delivery can
 // begin immediately: every delivered (or intentionally dropped)
-// sub-batch must be matched by exactly one release.
-func (e *Engine) route(entries []weblog.Entry) (*recSlab, int) {
+// sub-batch must be matched by exactly one release. It returns the
+// sub-batches to walk, which end at the last non-empty one: once that
+// one is handed off the slab may already be back in the pool and
+// refilled by another feeder, so the caller must not read it again.
+func (e *Engine) route(entries []weblog.Entry) (*recSlab, [][]sessionizer.Rec) {
 	b := e.partition(entries)
-	deliveries := 0
-	for _, batch := range b.per {
+	deliveries, end := 0, 0
+	for i, batch := range b.per {
 		if len(batch) > 0 {
 			deliveries++
+			end = i + 1
 		}
 	}
 	b.pending.Store(int32(deliveries))
-	return b, deliveries
+	return b, b.per[:end]
 }
 
 // Ingest processes a batch synchronously and returns the reports for
@@ -228,9 +239,9 @@ func (e *Engine) Ingest(entries []weblog.Entry) []Report {
 	if e.closed || len(entries) == 0 {
 		return nil
 	}
-	b, _ := e.route(entries)
-	replies := make([]chan []Report, len(b.per))
-	for i, batch := range b.per {
+	b, per := e.route(entries)
+	replies := make([]chan []Report, len(per))
+	for i, batch := range per {
 		if len(batch) == 0 {
 			continue
 		}
@@ -256,8 +267,8 @@ func (e *Engine) Feed(entries []weblog.Entry) {
 	if e.closed || len(entries) == 0 {
 		return
 	}
-	b, _ := e.route(entries)
-	for i, batch := range b.per {
+	b, per := e.route(entries)
+	for i, batch := range per {
 		if len(batch) > 0 {
 			e.shards[i].mail <- message{recs: batch, slab: b}
 		}
@@ -273,9 +284,9 @@ func (e *Engine) Offer(entries []weblog.Entry) int {
 	if e.closed || len(entries) == 0 {
 		return 0
 	}
-	b, _ := e.route(entries)
+	b, per := e.route(entries)
 	accepted := 0
-	for i, batch := range b.per {
+	for i, batch := range per {
 		if len(batch) == 0 {
 			continue
 		}

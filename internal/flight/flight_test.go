@@ -51,7 +51,8 @@ func assessment(sub string, start float64, rep core.Report, entries []weblog.Ent
 		Start:      start,
 		End:        start + 60,
 		Report:     rep,
-		Entries:    entries,
+		Chunks:     chunksOf(entries),
+		RawEntries: len(entries),
 		Cohort:     "eu-west/mobile/50",
 		StallProj:  []float64{1.5, 42},
 		RepProj:    []float64{0.25, 7},
@@ -469,40 +470,48 @@ func chunksOf(entries []weblog.Entry) []features.ChunkObs {
 }
 
 // TestColumnarAssessmentMatchesEntries proves the columnar Retain
-// hand-off is bit-identical to the legacy entry walk: the same session
-// offered once as buffered entries and once as chunk columns must
-// compact to identical timelines — same chunk records, totals,
-// truncation, and memory accounting — including past the maxEvents
-// truncation horizon.
+// hand-off compacts a session exactly as its raw entries describe it:
+// one chunk record per media entry (end time, duration, size), the
+// whole-session totals, truncation past maxEvents, and the entry
+// count — below, at, and past the truncation horizon.
 func TestColumnarAssessmentMatchesEntries(t *testing.T) {
-	for _, n := range []int{3, 64, 700} { // below, at, and past maxEvents
+	const maxEvents = 512
+	for _, n := range []int{3, 64, 700} {
 		entries := videoEntries("sub-a", 100, n, 2.0)
-		rep := goodReport(n)
+		entries = append(entries, weblog.Entry{Timestamp: 99, Subscriber: "sub-a", Host: weblog.HostPage})
+		sess := newSession(assessment("sub-a", 100, goodReport(n), entries), 4.2, 0, 1, maxEvents)
 
-		byEntries := newSession(assessment("sub-a", 100, rep, entries), 4.2, 0, 1, 512)
-		a := assessment("sub-a", 100, rep, nil)
-		a.Chunks = chunksOf(entries)
-		a.RawEntries = len(entries)
-		byChunks := newSession(a, 4.2, 0, 1, 512)
-
-		if byEntries.rawEntries != byChunks.rawEntries {
-			t.Fatalf("n=%d: rawEntries %d vs %d", n, byEntries.rawEntries, byChunks.rawEntries)
-		}
-		if byEntries.chunkCount != byChunks.chunkCount ||
-			byEntries.totalKB != byChunks.totalKB ||
-			byEntries.totalSec != byChunks.totalSec ||
-			byEntries.truncated != byChunks.truncated ||
-			byEntries.bytes != byChunks.bytes {
-			t.Fatalf("n=%d: compaction state diverged: %+v vs %+v", n, byEntries, byChunks)
-		}
-		if len(byEntries.chunks) != len(byChunks.chunks) {
-			t.Fatalf("n=%d: kept %d chunk records vs %d", n, len(byEntries.chunks), len(byChunks.chunks))
-		}
-		for i := range byEntries.chunks {
-			if byEntries.chunks[i] != byChunks.chunks[i] {
-				t.Fatalf("n=%d: chunk record %d diverged: %+v vs %+v",
-					n, i, byEntries.chunks[i], byChunks.chunks[i])
+		var want []chunkRec
+		var totalKB, totalSec float64
+		for _, e := range entries {
+			if !weblog.IsVideoHost(e.Host) {
+				continue
 			}
+			kb := float64(e.Bytes) / 1000
+			totalKB += kb
+			totalSec += e.TransactionSec
+			want = append(want, chunkRec{ts: e.Timestamp + e.TransactionSec, dur: e.TransactionSec, kb: kb})
+		}
+		if sess.rawEntries != len(entries) || sess.chunkCount != n {
+			t.Fatalf("n=%d: rawEntries %d chunkCount %d, want %d and %d", n, sess.rawEntries, sess.chunkCount, len(entries), n)
+		}
+		if sess.totalKB != totalKB || sess.totalSec != totalSec {
+			t.Fatalf("n=%d: totals %g KB / %g s, want %g / %g", n, sess.totalKB, sess.totalSec, totalKB, totalSec)
+		}
+		kept := min(n, maxEvents)
+		if len(sess.chunks) != kept || sess.truncated != int64(n-kept) {
+			t.Fatalf("n=%d: kept %d records (%d truncated), want %d (%d)", n, len(sess.chunks), sess.truncated, kept, n-kept)
+		}
+		for i := range sess.chunks {
+			if sess.chunks[i] != want[i] {
+				t.Fatalf("n=%d: chunk record %d is %+v, want %+v", n, i, sess.chunks[i], want[i])
+			}
+		}
+		wantBytes := int64(sessionOverheadBytes+len(sess.Subscriber)+len(sess.Cohort)+
+			len(sess.Stall)+len(sess.Rep)+len(sess.Verbal)+8*(len(sess.stallProj)+len(sess.repProj))) +
+			int64(kept)*chunkRecBytes
+		if sess.bytes != wantBytes {
+			t.Fatalf("n=%d: accounted %d bytes, want %d", n, sess.bytes, wantBytes)
 		}
 	}
 }

@@ -25,14 +25,15 @@ func benchAssessment(entries []weblog.Entry) Assessment {
 	rep := core.Report{StallConf: 0.9, RepConf: 0.9, Chunks: len(entries)}
 	rep.Stall = 2
 	return Assessment{
-		Subscriber: "bench-sub", Start: 0, End: 480, Report: rep, Entries: entries,
+		Subscriber: "bench-sub", Start: 0, End: 480, Report: rep,
+		Chunks: chunksOf(entries), RawEntries: len(entries),
 		Cohort: "us-east/mobile/50",
 	}
 }
 
 // BenchmarkRetain times the ingest-path cost of keeping one session:
-// the compaction pass over the entries (float-only, one chunk-record
-// append per video chunk), the header build, and ring bookkeeping —
+// the compaction pass over the chunk observations (float-only, one
+// chunk-record append per video chunk), the header build, and ring bookkeeping —
 // a few allocations and ~1.5µs for a 120-entry session, paid only by
 // the retained tail.
 func BenchmarkRetain(b *testing.B) {

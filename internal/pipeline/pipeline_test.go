@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vqoe/internal/core"
+	"vqoe/internal/engine"
 	"vqoe/internal/features"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
@@ -40,31 +41,57 @@ func testFramework(t *testing.T) (*core.Framework, *workload.Study) {
 	return fw, study
 }
 
+// oneShard is the engine layout the offline tools run on: one shard,
+// no auto-eviction, so sessions close only on §5.2 boundaries, an
+// explicit Advance, or Drain.
+func oneShard() engine.Config {
+	cfg := engine.DefaultConfig()
+	cfg.Shards = 1
+	cfg.SweepEverySec = -1
+	return cfg
+}
+
+func newOneShardServer(fw *core.Framework) *Server {
+	return NewServerOpts(fw, Options{Engine: oneShard()})
+}
+
+// ingestEach feeds entries one Ingest call at a time, as qoewatch does,
+// and returns the reports in emission order.
+func ingestEach(s *Server, entries []weblog.Entry) []SessionReport {
+	var out []SessionReport
+	for i := range entries {
+		out = append(out, s.Ingest(entries[i:i+1])...)
+	}
+	return out
+}
+
+func openSessions(s *Server) int {
+	n := 0
+	for _, sh := range s.Engine().Snapshot() {
+		n += sh.Open
+	}
+	return n
+}
+
 func TestStreamingMatchesBatchSessionCount(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
-	var reports []SessionReport
-	for _, e := range study.Stream {
-		reports = append(reports, a.Push(e)...)
-	}
-	reports = append(reports, a.Flush()...)
+	s := newOneShardServer(fw)
+	reports := ingestEach(s, study.Stream)
+	reports = append(reports, s.Drain()...)
 	// the study has 20 sequential sessions; each should emit one report
 	if len(reports) < 18 || len(reports) > 22 {
 		t.Errorf("emitted %d reports for 20 sessions", len(reports))
 	}
-	if a.OpenSessions() != 0 {
-		t.Errorf("%d sessions left open after flush", a.OpenSessions())
+	if n := openSessions(s); n != 0 {
+		t.Errorf("%d sessions left open after drain", n)
 	}
 }
 
 func TestReportsCarryAssessments(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
-	var reports []SessionReport
-	for _, e := range study.Stream {
-		reports = append(reports, a.Push(e)...)
-	}
-	reports = append(reports, a.Flush()...)
+	s := newOneShardServer(fw)
+	reports := ingestEach(s, study.Stream)
+	reports = append(reports, s.Drain()...)
 	for _, r := range reports {
 		if r.Subscriber != "study-device" {
 			t.Fatalf("subscriber %q", r.Subscriber)
@@ -72,7 +99,7 @@ func TestReportsCarryAssessments(t *testing.T) {
 		if r.End < r.Start {
 			t.Fatal("report interval inverted")
 		}
-		if r.Report.Chunks < DefaultConfig().MinChunks {
+		if r.Report.Chunks < engine.DefaultConfig().MinChunks {
 			t.Fatalf("report with %d chunks below minimum", r.Report.Chunks)
 		}
 		if int(r.Report.Stall) < 0 || int(r.Report.Stall) > 2 {
@@ -83,54 +110,55 @@ func TestReportsCarryAssessments(t *testing.T) {
 
 func TestPushIgnoresForeignHosts(t *testing.T) {
 	fw, _ := testFramework(t)
-	a := New(fw, DefaultConfig())
-	if got := a.Push(weblog.Entry{Host: "ads.example.com", Subscriber: "x"}); got != nil {
+	s := newOneShardServer(fw)
+	defer s.Drain()
+	if got := s.Ingest([]weblog.Entry{{Host: "ads.example.com", Subscriber: "x"}}); got != nil {
 		t.Error("foreign host should not emit")
 	}
-	if a.OpenSessions() != 0 {
+	if openSessions(s) != 0 {
 		t.Error("foreign host should not open a session")
 	}
 }
 
 func TestAdvanceClosesIdleSessions(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
+	s := newOneShardServer(fw)
+	defer s.Drain()
 	// feed only the first session's worth of entries
 	first := study.StreamLabels[0]
-	for i, e := range study.Stream {
-		if study.StreamLabels[i] != first {
-			break
-		}
-		a.Push(e)
+	n := 0
+	for n < len(study.Stream) && study.StreamLabels[n] == first {
+		n++
 	}
-	if a.OpenSessions() != 1 {
-		t.Fatalf("open sessions = %d", a.OpenSessions())
+	ingestEach(s, study.Stream[:n])
+	if got := openSessions(s); got != 1 {
+		t.Fatalf("open sessions = %d", got)
 	}
-	if got := a.Advance(1e9); len(got) != 1 {
+	if got := s.Engine().Advance(1e9); len(got) != 1 {
 		t.Errorf("advance emitted %d reports, want 1", len(got))
 	}
-	if a.OpenSessions() != 0 {
+	if openSessions(s) != 0 {
 		t.Error("advance should close the idle session")
 	}
 	// advancing again is a no-op
-	if got := a.Advance(2e9); len(got) != 0 {
+	if got := s.Engine().Advance(2e9); len(got) != 0 {
 		t.Error("second advance should be empty")
 	}
 }
 
 func TestFragmentsSuppressed(t *testing.T) {
 	fw, _ := testFramework(t)
-	a := New(fw, DefaultConfig())
+	s := newOneShardServer(fw)
 	// a lone page load with no media must not produce a report
-	a.Push(weblog.Entry{Host: weblog.HostPage, Subscriber: "s", Timestamp: 0})
-	if got := a.Flush(); len(got) != 0 {
+	s.Ingest([]weblog.Entry{{Host: weblog.HostPage, Subscriber: "s", Timestamp: 0}})
+	if got := s.Drain(); len(got) != 0 {
 		t.Errorf("fragment emitted %d reports", len(got))
 	}
 }
 
 func TestMultipleSubscribersInterleaved(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
+	s := newOneShardServer(fw)
 	// duplicate the stream under two subscriber IDs, interleaved
 	var reports []SessionReport
 	for _, e := range study.Stream {
@@ -138,10 +166,10 @@ func TestMultipleSubscribersInterleaved(t *testing.T) {
 		e1.Subscriber = "alice"
 		e2 := e
 		e2.Subscriber = "bob"
-		reports = append(reports, a.Push(e1)...)
-		reports = append(reports, a.Push(e2)...)
+		reports = append(reports, s.Ingest([]weblog.Entry{e1})...)
+		reports = append(reports, s.Ingest([]weblog.Entry{e2})...)
 	}
-	reports = append(reports, a.Flush()...)
+	reports = append(reports, s.Drain()...)
 	counts := map[string]int{}
 	for _, r := range reports {
 		counts[r.Subscriber]++
@@ -153,12 +181,9 @@ func TestMultipleSubscribersInterleaved(t *testing.T) {
 
 func TestStreamingAgreesWithDirectAnalysis(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
-	var reports []SessionReport
-	for _, e := range study.Stream {
-		reports = append(reports, a.Push(e)...)
-	}
-	reports = append(reports, a.Flush()...)
+	s := newOneShardServer(fw)
+	reports := ingestEach(s, study.Stream)
+	reports = append(reports, s.Drain()...)
 
 	// compare against analyzing each true session's entries directly
 	direct := map[string]core.Report{}

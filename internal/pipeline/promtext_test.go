@@ -568,7 +568,7 @@ func TestDebugSessionsEndpoint(t *testing.T) {
 }
 
 func TestStageHistogramNilObserverOff(t *testing.T) {
-	// the serial path with no stage set must not emit the histogram
+	// a collector with no stage set attached must not emit the histogram
 	fw, _ := testFramework(t)
 	srv := NewServer(fw)
 	m := NewMetrics()

@@ -185,6 +185,15 @@ func TestServerCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// the drain contract covers accepted connections; a dial the
+	// listener has not accepted yet is dropped with the listener
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Snapshot().ConnsActive != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	want := testEntries()
 	if err := c.SendEntries(want); err != nil {
 		t.Fatal(err)
